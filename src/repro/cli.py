@@ -415,7 +415,7 @@ def _add_rebalance_parser(sub: argparse._SubParsersAction) -> None:
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    from repro.harness.rebalance import pick_migration
+    from repro.harness.equivalence import pick_migration
     from repro.runtime import RebalanceSpec, run_sharded
     from repro.warehouse.sharding import partition_views, view_family
 
@@ -913,71 +913,27 @@ def build_parser() -> argparse.ArgumentParser:
     conf.add_argument("--json", default="conformance_report.json",
                       metavar="PATH", help="where to write the JSON report")
 
-    rec = sub.add_parser(
-        "recovery-sweep",
-        help="crash one shard per seeded case, recover from checkpoint +"
-             " WAL, and compare against the uncrashed baseline",
-    )
-    rec.add_argument("--seed", "-s", type=int, default=0,
-                     help="first workload seed")
-    rec.add_argument("--runs", type=int, default=30,
-                     help="seeds per sweep: seed, seed+1, ...")
-    rec.add_argument("--tcp-every", type=int, default=5,
-                     help="every Nth seed runs over loopback TCP"
-                          " (0 = local only)")
-    rec.add_argument("--time-scale", type=float, default=0.002,
-                     help="wall seconds per virtual time unit")
-    rec.add_argument("--timeout", type=float, default=120.0,
-                     help="wall-clock quiescence timeout per run")
-    rec.add_argument("--smoke", action="store_true",
-                     help="also run the multiprocess kill-and-recover"
-                          " smoke (SIGKILL a serve-shard process under"
-                          " the supervisor's on-crash restart policy)")
-    rec.add_argument("--json", default="recovery_report.json",
-                     metavar="PATH", help="where to write the JSON report")
+    from repro.harness.equivalence import PERTURBATIONS
 
-    fo = sub.add_parser(
-        "failover-sweep",
-        help="kill a shard's primary at deterministic protocol points,"
-             " promote its hot standby, and compare against the uncrashed"
-             " baseline",
-    )
-    fo.add_argument("--seed", "-s", type=int, default=0,
-                    help="first workload seed")
-    fo.add_argument("--seeds", type=int, default=30,
-                    help="seeds per sweep: seed, seed+1, ...")
-    fo.add_argument("--tcp-every", type=int, default=5,
-                    help="every Nth seed runs over loopback TCP"
-                         " (0 = local only)")
-    fo.add_argument("--time-scale", type=float, default=0.002,
-                    help="wall seconds per virtual time unit")
-    fo.add_argument("--timeout", type=float, default=120.0,
-                    help="wall-clock quiescence timeout per run")
-    fo.add_argument("--smoke", action="store_true",
-                    help="also run the multiprocess promotion smoke"
-                         " (SIGKILL the primary serve-shard process; the"
-                         " supervisor must promote the standby)")
-    fo.add_argument("--json", default="failover_report.json",
-                    metavar="PATH", help="where to write the JSON report")
-
-    rb = sub.add_parser(
-        "rebalance-sweep",
-        help="migrate one view between shards at deterministic protocol"
-             " points and compare against a never-migrated baseline",
-    )
-    rb.add_argument("--seed", "-s", type=int, default=0,
-                    help="first workload seed")
-    rb.add_argument("--seeds", type=int, default=30,
-                    help="seeds per sweep: seed, seed+1, ...")
-    rb.add_argument("--tcp-every", type=int, default=5,
-                    help="every Nth seed runs over loopback TCP"
-                         " (0 = local only)")
-    rb.add_argument("--time-scale", type=float, default=0.002,
-                    help="wall seconds per virtual time unit")
-    rb.add_argument("--timeout", type=float, default=120.0,
-                    help="wall-clock quiescence timeout per run")
-    rb.add_argument("--json", default="rebalance_report.json",
-                    metavar="PATH", help="where to write the JSON report")
+    for perturbation in PERTURBATIONS.values():
+        eq = sub.add_parser(perturbation.command, help=perturbation.help)
+        eq.set_defaults(perturbation=perturbation.name)
+        eq.add_argument("--seed", "-s", type=int, default=0,
+                        help="first workload seed")
+        eq.add_argument("--seeds", type=int, default=30,
+                        help="seeds per sweep: seed, seed+1, ...")
+        eq.add_argument("--tcp-every", type=int, default=5,
+                        help="every Nth seed runs over loopback TCP"
+                             " (0 = local only)")
+        eq.add_argument("--time-scale", type=float, default=0.002,
+                        help="wall seconds per virtual time unit")
+        eq.add_argument("--timeout", type=float, default=120.0,
+                        help="wall-clock quiescence timeout per run")
+        if perturbation.smoke is not None:
+            eq.add_argument("--smoke", action="store_true",
+                            help=perturbation.smoke_help)
+        eq.add_argument("--json", default=perturbation.report_path,
+                        metavar="PATH", help="where to write the JSON report")
 
     adv = sub.add_parser(
         "advise", help="recommend an algorithm for a workload"
@@ -1061,90 +1017,39 @@ def _cmd_bench_throughput(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_recovery_sweep(args: argparse.Namespace) -> int:
-    from repro.harness import recovery
+def _cmd_equivalence_sweep(args: argparse.Namespace) -> int:
+    from repro.harness import equivalence
+    from repro.harness.report import write_report
 
-    def progress(row: dict) -> None:
-        verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
-        print(
-            f"  {row['algorithm']:>13s} x {row['transport']:<5s}"
-            f" seed={row['seed']} ... {verdict}",
-            flush=True,
-        )
-
-    rows = recovery.run_recovery_sweep(
-        seeds=range(args.seed, args.seed + args.runs),
-        tcp_every=args.tcp_every,
-        time_scale=args.time_scale,
-        timeout=args.timeout,
-        progress=progress,
-    )
-    smoke = None
-    if args.smoke:
-        print("  kill-and-recover smoke (multiprocess) ...", flush=True)
-        smoke = recovery.kill_and_recover_smoke()
-    report = recovery.build_report(rows, smoke=smoke)
-    print()
-    print(recovery.format_report(report))
-    path = recovery.write_report(report, args.json)
-    print(f"\nwrote {path}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_failover_sweep(args: argparse.Namespace) -> int:
-    from repro.harness import failover
-
-    def progress(row: dict) -> None:
-        verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
-        print(
-            f"  {row['algorithm']:>13s} x {row['transport']:<5s}"
-            f" seed={row['seed']} {row['kill_point']:<16s} ... {verdict}",
-            flush=True,
-        )
-
-    rows = failover.run_failover_sweep(
-        seeds=range(args.seed, args.seed + args.seeds),
-        tcp_every=args.tcp_every,
-        time_scale=args.time_scale,
-        timeout=args.timeout,
-        progress=progress,
-    )
-    smoke = None
-    if args.smoke:
-        print("  promotion smoke (multiprocess SIGKILL) ...", flush=True)
-        smoke = failover.promotion_smoke()
-    report = failover.build_report(rows, smoke=smoke)
-    print()
-    print(failover.format_report(report))
-    path = failover.write_report(report, args.json)
-    print(f"\nwrote {path}")
-    return 0 if report["ok"] else 1
-
-
-def _cmd_rebalance_sweep(args: argparse.Namespace) -> int:
-    from repro.harness import rebalance
+    perturbation = equivalence.PERTURBATIONS[args.perturbation]
 
     def progress(row: dict) -> None:
         verdict = "pass" if row["ok"] else f"FAIL ({row['error']})"
         mutated = " MUT" if row["mutated"] else ""
         print(
             f"  {row['algorithm']:>13s} x {row['transport']:<5s}"
-            f" seed={row['seed']} {row['migration_point']:<16s}{mutated}"
+            f" seed={row['seed']} {row['point']:<16s}{mutated}"
             f" ... {verdict}",
             flush=True,
         )
 
-    rows = rebalance.run_rebalance_sweep(
+    rows = equivalence.run_sweep(
+        args.perturbation,
         seeds=range(args.seed, args.seed + args.seeds),
         tcp_every=args.tcp_every,
         time_scale=args.time_scale,
         timeout=args.timeout,
         progress=progress,
     )
-    report = rebalance.build_report(rows)
+    smoke = None
+    if getattr(args, "smoke", False):
+        print(f"  {perturbation.name} smoke (multiprocess SIGKILL) ...",
+              flush=True)
+        smoke = perturbation.smoke()
+    report = equivalence.build_report(args.perturbation, rows, smoke=smoke)
     print()
-    print(rebalance.format_report(report))
-    path = rebalance.write_report(report, args.json)
+    print(equivalence.format_report(report))
+    path = write_report(report, args.json)
     print(f"\nwrote {path}")
     return 0 if report["ok"] else 1
 
@@ -1246,9 +1151,9 @@ _COMMANDS = {
     "advise": _cmd_advise,
     "bench-throughput": _cmd_bench_throughput,
     "conformance": _cmd_conformance,
-    "recovery-sweep": _cmd_recovery_sweep,
-    "failover-sweep": _cmd_failover_sweep,
-    "rebalance-sweep": _cmd_rebalance_sweep,
+    "recovery-sweep": _cmd_equivalence_sweep,
+    "failover-sweep": _cmd_equivalence_sweep,
+    "rebalance-sweep": _cmd_equivalence_sweep,
 }
 
 

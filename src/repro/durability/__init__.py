@@ -28,7 +28,7 @@ queue when that source's answer returns and local compensation stays
 exact.
 """
 
-from repro.durability.checkpoint import CHECKPOINT_FORMAT, ViewCheckpoint
+from repro.durability.checkpoint import ViewCheckpoint
 from repro.durability.errors import (
     CheckpointCorruptionError,
     DurabilityError,
@@ -48,7 +48,6 @@ from repro.durability.recovery import (
 from repro.durability.wal import UpdateLog, read_update_log
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
     "CheckpointCorruptionError",
     "CheckpointPolicy",
     "CrashPlan",

@@ -20,21 +20,18 @@ Files are written atomically (tmp + fsync + rename), carry a CRC over
 the canonical body, and are named by generation; the matching WAL
 (``update-<generation>.wal``) records deliveries after the checkpoint.
 
-Two envelope formats exist, distinguished by the file's first byte:
-format 1 is a JSON envelope ``{"format": 1, "crc", "body"}`` with the CRC
-over the canonical (sorted, compact) JSON body; format 2 is a binwire
-envelope (the shared binary kernel codec v3 uses on the wire -- see
+The envelope ``{"format": 2, "crc", "body"}`` is a binwire document (the
+shared binary kernel codec v3 uses on the wire -- see
 :mod:`repro.runtime.binwire`) whose ``body`` is a nested binwire document
-carried as bytes, with the CRC over exactly those bytes.  :meth:`
-ViewCheckpoint.load` sniffs the first byte and accepts either, so
-pre-existing JSON checkpoints recover unchanged; the ``.json`` filename
-is kept for both (the generation glob patterns are part of the on-disk
-contract).
+carried as bytes, with the CRC over exactly those bytes.  Anything else,
+such as a JSON envelope of the retired format 1, fails
+:meth:`ViewCheckpoint.load` with :class:`CheckpointCorruptionError`.  The
+``.json`` filename is kept (the generation glob patterns are part of the
+on-disk contract).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import zlib
 from dataclasses import dataclass, field
@@ -42,8 +39,7 @@ from dataclasses import dataclass, field
 from repro.durability.encoding import encode_bag, encode_notice
 from repro.durability.errors import CheckpointCorruptionError
 
-CHECKPOINT_FORMAT = 1
-CHECKPOINT_FORMAT_BINARY = 2
+_CHECKPOINT_FORMAT = 2
 
 
 def _binwire():
@@ -122,37 +118,22 @@ class ViewCheckpoint:
         )
 
     # ------------------------------------------------------------------
-    def write(self, directory: str, binary: bool = True) -> str:
+    def write(self, directory: str) -> str:
         """Atomic write: tmp file, fsync, rename over the final name.
 
         On POSIX a crash can leave a stale tmp file but never a torn
         file under the final name, which is why recovery may treat any
-        present checkpoint as all-or-nothing.  ``binary`` selects the
-        format-2 binwire envelope (the default; ``load`` sniffs, so both
-        formats stay readable); ``binary=False`` writes the legacy JSON
-        envelope.
+        present checkpoint as all-or-nothing.
         """
-        if binary:
-            body_bytes = _binwire().dumps(self.to_json())
-            blob = _binwire().dumps(
-                {
-                    "format": CHECKPOINT_FORMAT_BINARY,
-                    "crc": zlib.crc32(body_bytes),
-                    "body": body_bytes,
-                }
-            )
-        else:
-            body = json.dumps(
-                self.to_json(), sort_keys=True, separators=(",", ":")
-            )
-            envelope = {
-                "format": CHECKPOINT_FORMAT,
-                "crc": zlib.crc32(body.encode("utf-8")),
-                "body": self.to_json(),
+        dumps = _binwire().dumps
+        body_bytes = dumps(self.to_json())
+        blob = dumps(
+            {
+                "format": _CHECKPOINT_FORMAT,
+                "crc": zlib.crc32(body_bytes),
+                "body": body_bytes,
             }
-            blob = json.dumps(
-                envelope, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
+        )
         final = checkpoint_path(directory, self.generation)
         tmp = final + ".tmp"
         with open(tmp, "wb") as handle:
@@ -176,28 +157,16 @@ class ViewCheckpoint:
             with open(path, "rb") as handle:
                 blob = handle.read()
             binwire = _binwire()
-            if binwire.is_binary(blob):
-                envelope = binwire.loads(blob)
-                if int(envelope.get("format", 0)) != CHECKPOINT_FORMAT_BINARY:
-                    raise CheckpointCorruptionError(
-                        f"{path}: unsupported checkpoint format"
-                        f" {envelope.get('format')!r}"
-                    )
-                body_bytes = envelope["body"]
-                if zlib.crc32(body_bytes) != int(envelope["crc"]):
-                    raise CheckpointCorruptionError(f"{path}: body fails CRC")
-                return cls.from_json(binwire.loads(body_bytes))
-            envelope = json.loads(blob.decode("utf-8"))
-            if int(envelope.get("format", 0)) != CHECKPOINT_FORMAT:
+            envelope = binwire.loads(blob)
+            if int(envelope.get("format", 0)) != _CHECKPOINT_FORMAT:
                 raise CheckpointCorruptionError(
                     f"{path}: unsupported checkpoint format"
                     f" {envelope.get('format')!r}"
                 )
-            body = envelope["body"]
-            canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-            if zlib.crc32(canonical.encode("utf-8")) != int(envelope["crc"]):
+            body_bytes = envelope["body"]
+            if zlib.crc32(body_bytes) != int(envelope["crc"]):
                 raise CheckpointCorruptionError(f"{path}: body fails CRC")
-            return cls.from_json(body)
+            return cls.from_json(binwire.loads(body_bytes))
         except CheckpointCorruptionError:
             raise
         except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -350,8 +319,6 @@ def decode_view_handoff(blob: bytes) -> dict:
 
 
 __all__ = [
-    "CHECKPOINT_FORMAT",
-    "CHECKPOINT_FORMAT_BINARY",
     "HANDOFF_FORMAT",
     "ViewCheckpoint",
     "capture_checkpoint",

@@ -124,16 +124,11 @@ class DurabilityManager:
         policy: CheckpointPolicy | None = None,
         fsync_batch: int = 8,
         crash_plan: CrashPlan | None = None,
-        binary: bool = True,
     ):
         self.directory = directory
         self.policy = policy if policy is not None else CheckpointPolicy()
         self.fsync_batch = fsync_batch
         self.crash_plan = crash_plan
-        #: serialize checkpoints/WAL frames through the shared binary
-        #: kernel (format 2); readers sniff, so either setting recovers
-        #: directories written by the other.
-        self.binary = binary
         os.makedirs(directory, exist_ok=True)
         self.warehouse = None
         self.generation = 0
@@ -325,14 +320,11 @@ class DurabilityManager:
                 for notice in self._parked[index]
             ],
         )
-        checkpoint.write(self.directory, binary=self.binary)
+        checkpoint.write(self.directory)
         if self.wal is not None:
             self.wal.close()
         self.wal = UpdateLog(
-            self.directory,
-            self.generation,
-            fsync_batch=self.fsync_batch,
-            binary=self.binary,
+            self.directory, self.generation, fsync_batch=self.fsync_batch
         )
         self._prune_before(self.generation)
         self.checkpoints_written += 1

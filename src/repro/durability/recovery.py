@@ -230,16 +230,12 @@ def attach_durability(
     policy: CheckpointPolicy | None = None,
     fsync_batch: int = 8,
     crash_plan: CrashPlan | None = None,
-    binary: bool = True,
 ) -> tuple[DurabilityManager, RecoveredState | None]:
     """Recover (if durable state exists), resume, and start logging.
 
     Returns the manager and the recovered state (``None`` on a fresh
     directory).  The manager immediately writes this incarnation's base
-    checkpoint, so the WAL never straddles a crash boundary.  ``binary``
-    picks the on-disk format for what this incarnation *writes*; reading
-    always accepts both formats, so a JSON-era directory recovers here
-    unchanged (and is upgraded in place by the base checkpoint).
+    checkpoint, so the WAL never straddles a crash boundary.
     """
     views = getattr(warehouse, "views", None) or [warehouse.view]
     state = load_state(directory, list(views))
@@ -250,7 +246,6 @@ def attach_durability(
         policy=policy,
         fsync_batch=fsync_batch,
         crash_plan=crash_plan,
-        binary=binary,
     )
     manager.attach(warehouse, state)
     return manager, state

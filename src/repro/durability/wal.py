@@ -7,15 +7,13 @@ length-prefix convention)::
     | length (4B BE) | crc32 (4B BE)  | payload                |
     +----------------+----------------+------------------------+
 
-Frame 0 is a header record ``{"wal": <format>, "generation": G}`` binding
-the file to checkpoint generation ``G``; every later frame is one encoded
-:class:`~repro.sources.messages.UpdateNotice` in delivery order.  Format
-1 serializes payloads as UTF-8 JSON; format 2 serializes them through the
-shared binary kernel (:mod:`repro.runtime.binwire` -- the same encoder
-codec v3 uses on the wire), eliminating the second JSON encode on the
-durable path.  :func:`read_update_log` sniffs each payload's first byte,
-so logs of either format (and mixed tails left by an upgrade) recover
-identically.
+Frame 0 is a header record ``{"wal": 2, "generation": G}`` binding the
+file to checkpoint generation ``G``; every later frame is one encoded
+:class:`~repro.sources.messages.UpdateNotice` in delivery order.  Every
+payload is a document of the shared binary kernel
+(:mod:`repro.runtime.binwire` -- the same encoder codec v3 uses on the
+wire); a frame that is not one, such as a JSON frame of the retired
+format 1, fails recovery with :class:`WalCorruptionError`.
 
 Damage policy (the satellite contract):
 
@@ -35,7 +33,6 @@ fsync at protocol boundaries.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -44,8 +41,7 @@ from repro.durability.encoding import encode_notice
 from repro.durability.errors import WalCorruptionError
 
 _FRAME_HEADER = struct.Struct("!II")
-WAL_FORMAT = 1
-WAL_FORMAT_BINARY = 2
+_WAL_FORMAT = 2
 
 
 def _binwire():
@@ -85,34 +81,24 @@ class UpdateLog:
         directory: str,
         generation: int,
         fsync_batch: int = 8,
-        binary: bool = True,
     ):
         if fsync_batch < 1:
             raise ValueError(f"fsync_batch must be >= 1, got {fsync_batch}")
         self.generation = generation
         self.fsync_batch = fsync_batch
-        self.binary = binary
         self.path = wal_path(directory, generation)
         self.appended = 0
         self._since_sync = 0
         self._file = open(self.path, "wb")
-        header = {
-            "wal": WAL_FORMAT_BINARY if binary else WAL_FORMAT,
-            "generation": generation,
-        }
-        self._file.write(_frame(self._serialize(header)))
+        header = {"wal": _WAL_FORMAT, "generation": generation}
+        self._file.write(_frame(_binwire().dumps(header)))
         self._file.flush()
         os.fsync(self._file.fileno())
-
-    def _serialize(self, record: dict) -> bytes:
-        if self.binary:
-            return _binwire().dumps(record)
-        return json.dumps(record, separators=(",", ":")).encode("utf-8")
 
     # ------------------------------------------------------------------
     def append(self, record: dict) -> None:
         """Append one record; flushed now, fsynced once per batch."""
-        self._file.write(_frame(self._serialize(record)))
+        self._file.write(_frame(_binwire().dumps(record)))
         self._file.flush()
         self.appended += 1
         self._since_sync += 1
@@ -179,25 +165,15 @@ def read_update_log(
             os.fsync(handle.fileno())
     if not frames:
         return None, [], torn
-    binwire = _binwire()
-
-    def _deserialize(frame: bytes):
-        # Per-frame sniff: JSON and binwire frames may coexist in one log
-        # (a process upgraded between restarts appends binary frames to
-        # no log it did not itself open, but mixed *logs* in one dir do
-        # happen), and decode must accept both regardless of format.
-        if binwire.is_binary(frame):
-            return binwire.loads(frame)
-        return json.loads(frame)
-
+    loads = _binwire().loads
     try:
-        header = _deserialize(frames[0])
+        header = loads(frames[0])
         generation = int(header["generation"])
-        if int(header.get("wal", 0)) not in (WAL_FORMAT, WAL_FORMAT_BINARY):
+        if int(header.get("wal", 0)) != _WAL_FORMAT:
             raise WalCorruptionError(
                 f"{path}: unsupported WAL format {header.get('wal')!r}"
             )
-        records = [_deserialize(frame) for frame in frames[1:]]
+        records = [loads(frame) for frame in frames[1:]]
     except (ValueError, KeyError, TypeError) as exc:
         raise WalCorruptionError(f"{path}: undecodable frame: {exc}") from exc
     return generation, records, torn
@@ -205,8 +181,6 @@ def read_update_log(
 
 __all__ = [
     "UpdateLog",
-    "WAL_FORMAT",
-    "WAL_FORMAT_BINARY",
     "read_update_log",
     "wal_generations",
     "wal_path",

@@ -27,14 +27,12 @@ report (uploaded as a CI artifact by the ``conformance-smoke`` job);
 
 from __future__ import annotations
 
-import json
 import platform
-from pathlib import Path
 from typing import Sequence
 
 from repro.consistency.levels import ConsistencyLevel
 from repro.harness.config import ExperimentConfig
-from repro.harness.report import format_table
+from repro.harness.report import format_table, load_report, write_report
 from repro.runtime.chaos import PROFILES
 from repro.warehouse.locality import SUPPORTED_ALGORITHMS as LOCALITY_ALGORITHMS
 from repro.warehouse.registry import ALGORITHMS, algorithm_info
@@ -365,16 +363,6 @@ def build_report(rows: list[dict], transport: str = "local") -> dict:
         "ok": not failed,
         "rows": rows,
     }
-
-
-def write_report(report: dict, path: str | Path) -> Path:
-    path = Path(path)
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return path
-
-
-def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def format_report(report: dict) -> str:

@@ -1,13 +1,18 @@
-"""Plain-text table rendering for experiment reports.
+"""Plain-text table rendering and JSON report files for experiments.
 
 The benchmark harness prints paper-style tables (e.g. the measured Table 1)
 to stdout and into ``results/``.  No dependency beyond the standard
-library; values are stringified with sensible float formatting.
+library; values are stringified with sensible float formatting.  The
+suites that gate CI (conformance, throughput, equivalence) write their
+reports with :func:`write_report` and read them back with
+:func:`load_report`.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 
 def _fmt(value: object) -> str:
@@ -58,4 +63,14 @@ def format_dict_table(
     )
 
 
-__all__ = ["format_dict_table", "format_table"]
+def write_report(report: dict, path: str | Path) -> Path:
+    path = Path(path)
+    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def load_report(path: str | Path) -> dict:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+__all__ = ["format_dict_table", "format_table", "load_report", "write_report"]

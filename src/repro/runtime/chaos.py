@@ -154,8 +154,8 @@ PROFILES: dict[str, ChaosConfig] = {
     # What a crashing-and-recovering peer looks like from the outside:
     # long dark windows plus stalls while it replays its durable state.
     # (Actual kill-and-recover of a *shard* is driven by the durability
-    # harness -- see repro.harness.recovery -- which pairs this profile
-    # with a CrashPlan.)
+    # harness -- see repro.harness.equivalence, crash-restart -- which
+    # pairs this profile with a CrashPlan.)
     "crash-restart": ChaosConfig(
         name="crash-restart",
         drop_prob=0.1,

@@ -1208,7 +1208,7 @@ async def run_sharded_async(
     appear on the result).  ``failover`` additionally kills the chosen
     shard's primary at a deterministic protocol point and promotes its
     first standby -- the in-process half of the failover-equivalence
-    harness (:mod:`repro.harness.failover`).
+    harness (:mod:`repro.harness.equivalence`, ``kill-primary``).
 
     ``rebalance`` migrates one non-primary view to another active shard
     *mid-run*: the donor seals and drains at the chosen protocol point,

@@ -6,8 +6,6 @@ generation -- the newer WAL would then be unreplayable and the served
 view silently stale.
 """
 
-import json
-
 import pytest
 
 from repro.durability import (
@@ -18,6 +16,7 @@ from repro.durability.checkpoint import checkpoint_generations, checkpoint_path
 from repro.durability.encoding import decode_relation, encode_bag, encode_notice
 from repro.relational.delta import Delta
 from repro.relational.relation import Relation
+from repro.runtime import binwire
 from repro.sources.messages import UpdateNotice
 
 
@@ -63,20 +62,15 @@ def test_load_latest_empty_directory(tmp_path):
 
 def test_corrupt_newest_raises_not_falls_back(tmp_path, paper_view):
     _checkpoint(paper_view, generation=1).write(str(tmp_path))
-    newest = _checkpoint(paper_view, generation=3).write(
-        str(tmp_path), binary=False
-    )
-    envelope = json.loads(open(newest, encoding="utf-8").read())
-    envelope["body"]["installs"] += 1  # body no longer matches the CRC
-    with open(newest, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
-    with pytest.raises(CheckpointCorruptionError, match="fails CRC"):
+    newest = _checkpoint(paper_view, generation=3).write(str(tmp_path))
+    blob = open(newest, "rb").read()
+    with open(newest, "wb") as handle:
+        handle.write(blob[: len(blob) // 2])  # undecodable, not a CRC miss
+    with pytest.raises(CheckpointCorruptionError, match="unreadable"):
         ViewCheckpoint.load_latest(str(tmp_path))
 
 
 def test_corrupt_newest_binary_raises_not_falls_back(tmp_path, paper_view):
-    from repro.runtime import binwire
-
     _checkpoint(paper_view, generation=1).write(str(tmp_path))
     newest = _checkpoint(paper_view, generation=3).write(str(tmp_path))
     envelope = binwire.loads(open(newest, "rb").read())
@@ -90,11 +84,11 @@ def test_corrupt_newest_binary_raises_not_falls_back(tmp_path, paper_view):
 
 
 def test_unsupported_format_raises(tmp_path, paper_view):
-    path = _checkpoint(paper_view).write(str(tmp_path), binary=False)
-    envelope = json.loads(open(path, encoding="utf-8").read())
+    path = _checkpoint(paper_view).write(str(tmp_path))
+    envelope = binwire.loads(open(path, "rb").read())
     envelope["format"] = 99
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(envelope, handle)
+    with open(path, "wb") as handle:
+        handle.write(binwire.dumps(envelope))
     with pytest.raises(CheckpointCorruptionError, match="format"):
         ViewCheckpoint.load(path)
 

@@ -98,9 +98,9 @@ def test_applied_beyond_delivered_raises(tmp_path, paper_view):
     ],
 )
 def test_crash_restart_case_recovers(algorithm, seed):
-    from repro.harness.recovery import run_crash_restart_case
+    from repro.harness.equivalence import run_case
 
-    row = run_crash_restart_case(algorithm, seed, transport="local")
+    row = run_case("crash-restart", algorithm, seed, transport="local")
     assert row["error"] == ""
     assert row["ok"], row
     assert row["crash_fired"]

@@ -6,16 +6,27 @@ a complete frame with a bad CRC is corruption and must fail loudly --
 recovery never replays a damaged update into the view.
 """
 
+import json
 import os
 import struct
+import zlib
 
 import pytest
 
-from repro.durability import UpdateLog, WalCorruptionError, read_update_log
+from repro.durability import (
+    CheckpointCorruptionError,
+    UpdateLog,
+    ViewCheckpoint,
+    WalCorruptionError,
+    load_state,
+    read_update_log,
+)
+from repro.durability.checkpoint import checkpoint_path
 from repro.durability.encoding import decode_notice, encode_notice
 from repro.durability.wal import wal_generations, wal_path
 from repro.relational.delta import Delta
 from repro.relational.schema import Schema
+from repro.runtime import binwire
 from repro.sources.messages import UpdateNotice
 
 
@@ -91,19 +102,57 @@ def test_crc_mismatch_raises(tmp_path):
         read_update_log(path)
 
 
-def test_undecodable_frame_raises(tmp_path):
-    import json
-    import zlib
-
-    path = os.path.join(str(tmp_path), "update-00000002.wal")
-    payload = b"not json at all"
-    header = json.dumps({"wal": 1, "generation": 2}).encode()
+def _write_frames(path: str, *frames: bytes) -> None:
     with open(path, "wb") as handle:
-        for frame in (header, payload):
+        for frame in frames:
             handle.write(struct.pack("!II", len(frame), zlib.crc32(frame)))
             handle.write(frame)
+
+
+def test_undecodable_frame_raises(tmp_path):
+    path = os.path.join(str(tmp_path), "update-00000002.wal")
+    header = binwire.dumps({"wal": 2, "generation": 2})
+    _write_frames(path, header, b"not a record at all")
     with pytest.raises(WalCorruptionError, match="undecodable"):
         read_update_log(path)
+
+
+def test_wal_header_format_matches_writer(tmp_path, paper_view):
+    log = UpdateLog(str(tmp_path), generation=1)
+    log.append_notice(_notice(1))
+    log.close()
+    generation, records, _ = read_update_log(log.path)
+    assert generation == 1 and len(records) == 1
+    data = open(log.path, "rb").read()
+    length, _crc = struct.unpack_from("!II", data, 0)
+    assert binwire.loads(data[8 : 8 + length]) == {"wal": 2, "generation": 1}
+
+
+def test_json_era_checkpoint_and_wal_are_rejected(tmp_path, paper_view):
+    """The JSON durable format (checkpoint envelope 1, WAL format 1) is
+    retired: a directory holding it fails recovery loudly instead of
+    being read through a second decoder."""
+    checkpoint = ViewCheckpoint(
+        generation=2, applied_counts={1: 0}, delivered_marks={1: 0},
+        views={},
+    )
+    body = json.dumps(checkpoint.to_json(), sort_keys=True)
+    path = checkpoint_path(str(tmp_path), 2)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(
+            {"format": 1, "crc": zlib.crc32(body.encode()),
+             "body": checkpoint.to_json()},
+            handle,
+        )
+    with pytest.raises(CheckpointCorruptionError, match="not a binwire"):
+        ViewCheckpoint.load(path)
+    wal = wal_path(str(tmp_path), 2)
+    notice = json.dumps(encode_notice(_notice(1))).encode()
+    _write_frames(wal, json.dumps({"wal": 1, "generation": 2}).encode(), notice)
+    with pytest.raises(WalCorruptionError, match="not a binwire"):
+        read_update_log(wal)
+    with pytest.raises(CheckpointCorruptionError):
+        load_state(str(tmp_path), [paper_view])
 
 
 def test_encode_notice_round_trip(paper_view):

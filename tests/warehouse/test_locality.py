@@ -420,10 +420,10 @@ class TestOracleCatchesCorruption:
 
 class TestLocalityDurability:
     def test_crash_restart_with_aux_recovers_byte_equal(self):
-        from repro.harness.recovery import run_crash_restart_case
+        from repro.harness.equivalence import run_case
 
-        row = run_crash_restart_case("batched-sweep", 3, transport="local",
-                                     locality="aux")
+        row = run_case("crash-restart", "batched-sweep", 3, transport="local",
+                       locality="aux")
         assert row["error"] == ""
         assert row["ok"], row
         assert row["crash_fired"]

@@ -62,21 +62,21 @@ class Mailbox:
     def peek_all(self) -> tuple[Any, ...]:
         """Non-destructive snapshot of buffered messages.
 
-        The warehouse's concurrent-update detection scans its update queue
-        without consuming (SWEEP leaves interfering updates queued for their
-        own later ViewChange).
+        The warehouse reads its update queue without consuming it
+        (C-Strobe's concurrency window, the batched drain, checkpoints).
         """
         return tuple(self._queue)
 
     def remove(self, message: Any) -> bool:
         """Remove the first occurrence of ``message`` (identity or equality).
 
-        Nested SWEEP removes absorbed concurrent updates from the queue.
-        Returns True when a message was removed.
+        The batched scheduler drains queued updates this way.  Returns
+        True when a message was removed.
         """
         for i, queued in enumerate(self._queue):
             if queued is message or queued == message:
                 del self._queue[i]
+                self._dequeued(queued)
                 return True
         return False
 
@@ -123,7 +123,11 @@ class Mailbox:
         process = self._waiter
         self._waiter = None
         message = self._queue.popleft()
+        self._dequeued(message)
         process.resume(message)
+
+    def _dequeued(self, message: Any) -> None:
+        """Hook: ``message`` just left the buffer (head pop or remove)."""
 
     def __repr__(self) -> str:
         waiting = f", waiter={self._waiter.name!r}" if self._waiter else ""

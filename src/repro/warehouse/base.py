@@ -21,10 +21,13 @@ directly.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from collections.abc import Generator
+from itertools import islice
+from operator import is_
 
 from repro.consistency.oracle import RunRecorder
+from repro.relational.algebra import difference_in_place
 from repro.relational.delta import Delta, merge_deltas
 from repro.relational.incremental import PartialView
 from repro.relational.relation import Relation
@@ -34,12 +37,7 @@ from repro.simulation.kernel import Simulator
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
 from repro.simulation.trace import TraceLog
-from repro.sources.messages import (
-    QueryRequest,
-    UpdateNotice,
-    is_rebalance_fence,
-    next_request_id,
-)
+from repro.sources.messages import QueryRequest, UpdateNotice, next_request_id
 from repro.warehouse.errors import ProtocolError
 from repro.warehouse.view_store import MaterializedView
 
@@ -193,6 +191,147 @@ class WarehouseBase:
         )
 
 
+class _Run:
+    """One source's queued update notices in FIFO order, each with the
+    ordinal of its enqueue, next to the signed sum of their deltas."""
+
+    __slots__ = ("notices", "ordinals", "total")
+
+    def __init__(self, notice: UpdateNotice, ordinal: int):
+        self.notices: deque[UpdateNotice] = deque((notice,))
+        self.ordinals: deque[int] = deque((ordinal,))
+        self.total: Delta = notice.delta.copy()
+
+    def length_at(self, mark: int) -> int:
+        """How many of the run's notices were enqueued at or before ``mark``
+        (those after it sit at the tail: ordinals grow along the run)."""
+        k = len(self.ordinals)
+        while k and self.ordinals[k - 1] > mark:
+            k -= 1
+        return k
+
+
+class _IndexedUpdateQueue(Mailbox):
+    """The UpdateMessageQueue plus a per-source index of its updates.
+
+    Every real update is enqueued with the next absolute ordinal, and the
+    latest ordinal is the queue's *watermark*.  The updates that interfere
+    with an answer (Section 4's FIFO argument) are then the answering
+    source's run up to the watermark latched when the answer was routed,
+    and their merged compensation delta (Section 5.3) is the run's
+    maintained sum -- neither the queue nor the deltas are rescanned per
+    answer.  The index follows ``put``, the head pop, ``remove`` and
+    ``seal``, so every producer (dispatcher, durability redelivery,
+    migration) keeps it exact.
+
+    Control frames (rebalance fences, handoff state) enter through
+    :meth:`put_control`: they keep their FIFO slot but are not updates
+    and never take part in compensation.
+    """
+
+    def __init__(self, sim: Simulator, name: str):
+        super().__init__(sim, name)
+        self._ordinal = 0
+        self._runs: dict[int, _Run] = {}
+
+    @property
+    def watermark(self) -> int:
+        """Ordinal of the latest update enqueued."""
+        return self._ordinal
+
+    def put(self, message: Message) -> None:
+        notice = message.payload
+        if not self._sealed and isinstance(notice, UpdateNotice):
+            self._ordinal += 1
+            run = self._runs.get(notice.source_index)
+            if run is None:
+                self._runs[notice.source_index] = _Run(notice, self._ordinal)
+            else:
+                run.notices.append(notice)
+                run.ordinals.append(self._ordinal)
+                run.total.merge_in_place(notice.delta)
+        super().put(message)
+
+    def put_control(self, message: Message) -> None:
+        """Enqueue a protocol control frame, outside the index."""
+        super().put(message)
+
+    def run_at(self, index: int, mark: int) -> list[UpdateNotice]:
+        """Source ``index``'s queued updates enqueued at or before ``mark``."""
+        run = self._runs.get(index)
+        if run is None:
+            return []
+        return list(islice(run.notices, run.length_at(mark)))
+
+    def run_sum(self, notices: list[UpdateNotice], mark: int) -> Delta | None:
+        """The merged delta of ``notices`` if they are exactly their
+        source's run at ``mark``, else None.
+
+        With no update enqueued after ``mark`` this is the maintained sum
+        itself, which the caller must treat as read-only; otherwise the
+        few later updates are subtracted from a copy of it.
+        """
+        run = self._runs.get(notices[0].source_index)
+        if run is None:
+            return None
+        k = run.length_at(mark)
+        if len(notices) != k or not all(map(is_, notices, run.notices)):
+            return None
+        if k == len(run.notices):
+            return run.total
+        merged = run.total.copy()
+        for late in islice(run.notices, k, None):
+            difference_in_place(merged, late.delta)
+        return merged
+
+    def remove_leading(self, notices: list[UpdateNotice]) -> None:
+        """Remove ``notices`` -- the head of their source's run -- from the
+        queue, matching by identity in one pass."""
+        if not notices:
+            return
+        for notice in notices:
+            run = self._runs.get(notice.source_index)
+            if run is None or run.notices[0] is not notice:
+                raise ProtocolError(f"{notice!r} is not at the head of its run")
+            self._unindex(run, 0)
+        doomed = iter(notices)
+        target = next(doomed)
+        kept: deque[Message] = deque()
+        for message in self._queue:
+            if message.payload is target:
+                target = next(doomed, None)
+            else:
+                kept.append(message)
+        self._queue = kept
+
+    def seal(self) -> None:
+        super().seal()
+        self._runs.clear()
+
+    def _dequeued(self, message: Message) -> None:
+        notice = message.payload
+        if not isinstance(notice, UpdateNotice):
+            return
+        run = self._runs.get(notice.source_index)
+        if run is None:
+            return
+        # Almost always the run's head: queue order is run order.
+        for position, queued in enumerate(run.notices):
+            if queued is notice:
+                self._unindex(run, position)
+                return
+        # Not indexed: a control frame (a rebalance fence is a notice).
+
+    def _unindex(self, run: _Run, position: int) -> None:
+        notice = run.notices[position]
+        if len(run.notices) == 1:
+            del self._runs[notice.source_index]
+            return
+        del run.notices[position]
+        del run.ordinals[position]
+        difference_in_place(run.total, notice.delta)
+
+
 class QueueDrivenWarehouse(WarehouseBase):
     """Figure 4 runtime: LogUpdates + UpdateMessageQueue + UpdateView.
 
@@ -204,10 +343,11 @@ class QueueDrivenWarehouse(WarehouseBase):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.update_queue = Mailbox(self.sim, "UpdateMessageQueue")
+        self.update_queue = _IndexedUpdateQueue(self.sim, "UpdateMessageQueue")
         self._answer_box = Mailbox(self.sim, "warehouse-answers")
-        #: queued updates latched when the most recent answer was routed.
-        self._pending_at_answer: tuple[UpdateNotice, ...] = ()
+        #: update-queue watermark latched when the most recent answer was
+        #: routed: the updates queued at or before it interfere with it.
+        self._answer_mark = 0
         self.sim.spawn("wh-LogUpdates", self._dispatch())
         self.sim.spawn("wh-UpdateView", self._update_view())
 
@@ -272,16 +412,15 @@ class QueueDrivenWarehouse(WarehouseBase):
                 if self.locality is not None:
                     # Cache insertion must happen here, not when the sweep
                     # consumes the answer: the same-instant delivery window
-                    # the pending snapshot below closes would otherwise
+                    # the watermark latched below closes would otherwise
                     # shift the entry off the delivered position.
                     self.locality.on_answer_routed(msg.payload)
-                # Snapshot the queue contents *now*: an update delivered at
+                # Latch the queue's watermark *now*: an update delivered at
                 # the same virtual instant but after this answer must not be
                 # compensated against it (it was applied after the query was
                 # evaluated), yet its delivery event may fire before the
-                # sweep process wakes up.  The snapshot closes that window.
-                pending = self._queued_update_payloads()
-                self._answer_box.put((msg, pending))
+                # sweep process wakes up.  The watermark closes that window.
+                self._answer_box.put((msg, self.update_queue.watermark))
             elif msg.kind == "rebalance":
                 self._on_rebalance_message(msg)
             else:  # pragma: no cover - defensive
@@ -304,20 +443,6 @@ class QueueDrivenWarehouse(WarehouseBase):
         """Handle a rebalance control frame (handoff / gap / complete)."""
         raise ProtocolError(
             f"rebalance frame at non-migratable warehouse: {msg.payload!r}"
-        )
-
-    def _queued_update_payloads(self) -> tuple[UpdateNotice, ...]:
-        """The real updates currently queued, in FIFO order.
-
-        Control frames sharing the queue (rebalance fences, handoff
-        state) are not source updates and never participate in
-        compensation.
-        """
-        return tuple(
-            m.payload
-            for m in self.update_queue.peek_all()
-            if isinstance(m.payload, UpdateNotice)
-            and not is_rebalance_fence(m.payload)
         )
 
     def _live_locality(self):
@@ -388,21 +513,28 @@ class QueueDrivenWarehouse(WarehouseBase):
     def query_and_await(self, index: int, partial: PartialView) -> Generator:
         """Send one ComputeJoin to source ``index`` and await its answer.
 
-        Also latches the set of updates that were queued when the answer
-        was routed (see ``_dispatch``), which
-        :meth:`pending_updates_from` consults.
+        Also latches the update-queue watermark of the answer's routing
+        (see ``_dispatch``), which :meth:`pending_updates_from` consults.
         """
         request = self.make_sweep_query(index, partial)
         self.send_query(index, request)
-        msg, pending = yield self._answer_box.get()
-        self._pending_at_answer = pending
-        answer = msg.payload
+        answer = yield from self._await_answer(request)
+        return answer.partial
+
+    def _next_answer(self) -> Generator:
+        """Receive the next routed answer and latch its watermark."""
+        msg, self._answer_mark = yield self._answer_box.get()
+        return msg.payload
+
+    def _await_answer(self, request, what: str = "answer") -> Generator:
+        """:meth:`_next_answer`, which must answer ``request``."""
+        answer = yield from self._next_answer()
         if answer.request_id != request.request_id:
             raise ProtocolError(
-                f"answer {answer.request_id} does not match request"
+                f"{what} {answer.request_id} does not match request"
                 f" {request.request_id}"
             )
-        return answer.partial
+        return answer
 
     def local_aux_answer(self, index: int, partial: PartialView):
         """Sweep-step answer from the covered local copy, or None.
@@ -421,8 +553,8 @@ class QueueDrivenWarehouse(WarehouseBase):
         """Cached sweep-step answer, or None.
 
         A hit behaves exactly like a remote answer routed this instant:
-        the pending-updates snapshot is latched against the current queue
-        and the caller runs its ordinary compensation against it.
+        the current update-queue watermark is latched and the caller runs
+        its ordinary compensation against it.
         """
         locality = self._live_locality()
         if locality is None:
@@ -430,7 +562,7 @@ class QueueDrivenWarehouse(WarehouseBase):
         hit = locality.cache_lookup(index, partial)
         if hit is None:
             return None
-        self._pending_at_answer = self._queued_update_payloads()
+        self._answer_mark = self.update_queue.watermark
         return hit
 
     def pending_updates_from(self, index: int) -> list[UpdateNotice]:
@@ -439,14 +571,18 @@ class QueueDrivenWarehouse(WarehouseBase):
         By the FIFO argument of Section 4, exactly these interfere with
         that answer.
         """
-        return [
-            notice
-            for notice in self._pending_at_answer
-            if notice.source_index == index
-        ]
+        return self.update_queue.run_at(index, self._answer_mark)
 
     def merged_pending_delta(self, notices: list[UpdateNotice]) -> Delta:
-        """Coalesce several queued updates from one source into one delta."""
+        """Coalesce several queued updates from one source into one delta.
+
+        For the whole list :meth:`pending_updates_from` returned, this is
+        the queue index's running sum, shared and read-only; only a
+        filtered subset of it is merged afresh.
+        """
+        merged = self.update_queue.run_sum(notices, self._answer_mark)
+        if merged is not None:
+            return merged
         schema = self.view.schema_of(notices[0].source_index)
         return merge_deltas(schema, [n.delta for n in notices])
 

@@ -320,7 +320,7 @@ class BatchedSweepWarehouse(QueueDrivenWarehouse):
             hits = locality.cache_lookup_many(index, send)
             if hits is not None:
                 # A full cache hit is an answer routed this instant.
-                self._pending_at_answer = self._queued_update_payloads()
+                self._answer_mark = self.update_queue.watermark
                 return locality.expand(hits, mapping)
         request = MultiQueryRequest(
             request_id=next_request_id(),
@@ -328,14 +328,7 @@ class BatchedSweepWarehouse(QueueDrivenWarehouse):
             target_index=index,
         )
         self.send_query(index, request)
-        msg, pending = yield self._answer_box.get()
-        self._pending_at_answer = pending
-        answer = msg.payload
-        if answer.request_id != request.request_id:
-            raise ProtocolError(
-                f"answer {answer.request_id} does not match request"
-                f" {request.request_id}"
-            )
+        answer = yield from self._await_answer(request)
         if len(answer.partials) != len(send):
             raise ProtocolError(
                 f"multi-query answer carries {len(answer.partials)} partials,"

@@ -31,7 +31,6 @@ from collections.abc import Generator
 from repro.durability.encoding import snapshot_delta
 from repro.relational.incremental import PartialView
 from repro.sources.messages import SnapshotRequest, next_request_id
-from repro.warehouse.errors import ProtocolError
 from repro.warehouse.sweep import SweepWarehouse
 
 
@@ -58,21 +57,12 @@ class BootstrapSweepWarehouse(SweepWarehouse):
         """The initial-load sweep."""
         request = SnapshotRequest(request_id=next_request_id())
         self.send_query(1, request)
-        msg, pending = yield self._answer_box.get()
-        self._pending_at_answer = pending
-        answer = msg.payload
-        if answer.request_id != request.request_id:
-            raise ProtocolError(
-                f"snapshot answer {answer.request_id} does not match"
-                f" request {request.request_id}"
-            )
+        answer = yield from self._await_answer(request, "snapshot answer")
 
         # Source-1 updates delivered before the snapshot are inside it:
         # absorb them so they are not replayed later.
-        absorbed = [n for n in pending if n.source_index == 1]
-        for queued in list(self.update_queue.peek_all()):
-            if queued.payload in absorbed:
-                self.update_queue.remove(queued)
+        absorbed = self.pending_updates_from(1)
+        self.update_queue.remove_leading(absorbed)
         self.metrics.increment("bootstrap_absorbed", len(absorbed))
 
         # The snapshot travels delta-encoded (codec-v2 flat rows, the

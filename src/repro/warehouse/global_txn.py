@@ -73,7 +73,7 @@ class GlobalSweepWarehouse(SweepWarehouse):
             for n in self._held + self._deferred
             if n.source_index == index
         ]
-        return pending + extra
+        return pending + extra if extra else pending
 
     def _source_blocked(self, index: int) -> bool:
         return any(n.source_index == index for n in self._held)

@@ -198,8 +198,9 @@ class ViewMigrationMixin:
         if not is_rebalance_fence(msg.payload):
             return False
         # Fences keep their FIFO slot in the update queue but are not
-        # deliveries: no recorder stamp, no delivered-count advance.
-        self.update_queue.put(msg)
+        # deliveries: no recorder stamp, no delivered-count advance, and
+        # no place in the pending index compensation reads.
+        self.update_queue.put_control(msg)
         return True
 
     def _on_rebalance_message(self, msg: Message) -> None:
@@ -207,7 +208,7 @@ class ViewMigrationMixin:
             raise ProtocolError(
                 f"rebalance frame at non-participating member: {msg.payload!r}"
             )
-        self.update_queue.put(msg)
+        self.update_queue.put_control(msg)
 
     def _is_control(self, msg: Message) -> bool:
         return msg.kind == "rebalance" or is_rebalance_fence(msg.payload)
@@ -497,14 +498,7 @@ class ViewMigrationMixin:
                 target_index=j,
             )
             self.send_query(j, request)
-            msg, pending = yield self._answer_box.get()
-            self._pending_at_answer = pending
-            answer = msg.payload
-            if answer.request_id != request.request_id:
-                raise ProtocolError(
-                    f"answer {answer.request_id} does not match request"
-                    f" {request.request_id}"
-                )
+            answer = yield from self._await_answer(request)
             partial = answer.partials[0]
             candidates: dict[int, UpdateNotice] = {}
             for other in remaining:

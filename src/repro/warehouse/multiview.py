@@ -30,7 +30,6 @@ from repro.relational.view import ViewDefinition
 from repro.sources.messages import MultiQueryRequest, UpdateNotice, next_request_id
 from repro.warehouse.base import QueueDrivenWarehouse
 from repro.warehouse.batched import BatchedSweepWarehouse
-from repro.warehouse.errors import ProtocolError
 from repro.warehouse.view_store import MaterializedView
 
 
@@ -215,7 +214,7 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
             if locality is not None:
                 hits = locality.cache_lookup_many(j, ordered)
                 if hits is not None:
-                    self._pending_at_answer = self._queued_update_payloads()
+                    self._answer_mark = self.update_queue.watermark
                     for view, hit in zip(participants, hits):
                         partials[view.name] = self._compensate_one(
                             j, hit, temps[view.name], view=view
@@ -225,14 +224,7 @@ class MultiViewSweepWarehouse(MultiViewStateMixin, QueueDrivenWarehouse):
                 request_id=next_request_id(), partials=ordered, target_index=j
             )
             self.send_query(j, request)
-            msg, pending = yield self._answer_box.get()
-            self._pending_at_answer = pending
-            answer = msg.payload
-            if answer.request_id != request.request_id:
-                raise ProtocolError(
-                    f"answer {answer.request_id} does not match request"
-                    f" {request.request_id}"
-                )
+            answer = yield from self._await_answer(request)
             for view, got in zip(participants, answer.partials):
                 partials[view.name] = self._compensate_one(
                     j, got, temps[view.name], view=view

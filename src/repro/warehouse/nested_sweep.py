@@ -131,10 +131,11 @@ class NestedSweepWarehouse(QueueDrivenWarehouse):
             self.metrics.increment("nested_depth_limit_hits")
             return partial  # leave the updates queued; SWEEP handles later
 
-        # Remove the absorbed updates from the queue (Figure 6).
-        for msg in list(self.update_queue.peek_all()):
-            if msg.payload in pending:
-                self.update_queue.remove(msg)
+        # Remove the absorbed updates from the queue (Figure 6).  They
+        # are the head of the source's run, and ``merged`` may be the
+        # index's running sum, which the removal changes: keep a copy.
+        merged = merged.copy()
+        self.update_queue.remove_leading(pending)
         absorbed.extend(pending)
         if self.trace:
             self.trace.record(

@@ -22,7 +22,6 @@ from repro.relational.delta import Delta
 from repro.relational.relation import Relation
 from repro.sources.messages import SnapshotRequest, UpdateNotice, next_request_id
 from repro.warehouse.base import QueueDrivenWarehouse
-from repro.warehouse.errors import ProtocolError
 
 
 class RecomputeWarehouse(QueueDrivenWarehouse):
@@ -38,13 +37,7 @@ class RecomputeWarehouse(QueueDrivenWarehouse):
         for j in range(1, self.view.n_relations + 1):
             request = SnapshotRequest(request_id=next_request_id())
             self.send_query(j, request)
-            msg, _pending = yield self._answer_box.get()
-            answer = msg.payload
-            if answer.request_id != request.request_id:
-                raise ProtocolError(
-                    f"snapshot answer {answer.request_id} does not match"
-                    f" request {request.request_id}"
-                )
+            answer = yield from self._await_answer(request, "snapshot answer")
             states[self.view.name_of(answer.source_index)] = snapshot_relation(
                 answer, self.view.schema_of(answer.source_index)
             )

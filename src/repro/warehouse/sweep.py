@@ -164,9 +164,7 @@ class SweepWarehouse(QueueDrivenWarehouse):
         launch("left")
         launch("right")
         while outstanding:
-            msg, pending = yield self._answer_box.get()
-            self._pending_at_answer = pending
-            answer = msg.payload
+            answer = yield from self._next_answer()
             if answer.request_id not in outstanding:
                 raise ProtocolError(
                     f"unexpected answer for request {answer.request_id}"

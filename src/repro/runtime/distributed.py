@@ -42,7 +42,11 @@ from repro.runtime.chaos import (
 )
 from repro.runtime.kernel import AsyncRuntime
 from repro.runtime.nodes import CentralSourceNode, SourceNode, WarehouseNode
-from repro.runtime.tcp import TcpChannelConfig, probe_peer
+from repro.runtime.tcp import (
+    TcpChannelConfig,
+    probe_peer,
+    probe_peer_unless_greeted,
+)
 from repro.runtime.transport import LocalChannel
 from repro.simulation.mailbox import Mailbox
 from repro.simulation.metrics import MetricsCollector
@@ -727,7 +731,10 @@ async def serve_source_async(
     print(f"source[{node.name}] listening on {node.address[0]}:{node.address[1]}")
     try:
         if probe:
-            await probe_peer(
+            # A warehouse that already queried this source is reachable.
+            await probe_peer_unless_greeted(
+                node.listener,
+                f"wh->{node.name}",
                 warehouse_address[0],
                 warehouse_address[1],
                 tcp_config,

@@ -90,6 +90,7 @@ from repro.runtime.tcp import (
     TcpChannel,
     TcpChannelConfig,
     probe_peer,
+    probe_peer_unless_greeted,
 )
 from repro.runtime.transport import LocalChannel
 from repro.simulation.channel import Message
@@ -2076,17 +2077,21 @@ async def serve_sharded_source_async(
             # Probe with replica-group tolerance: a member that died
             # before this source finished starting up is dropped iff
             # another member of its group is reachable -- losing a
-            # shard's last member still fails the process.
+            # shard's last member still fails the process.  A member
+            # that already queried this source is reachable.
             unreachable: list = []
             probe_errors: dict = {}
             reachable_shards: set[int] = set()
             for key, (phost, pport) in sorted(shard_addresses.items()):
+                label = _member_label(key)
                 try:
-                    await probe_peer(
+                    await probe_peer_unless_greeted(
+                        node.listener,
+                        f"{label}->{node.name}",
                         phost,
                         pport,
                         tcp_config,
-                        what=f"member {_member_label(key)}",
+                        what=f"member {label}",
                     )
                     reachable_shards.add(_as_member(key).shard)
                 except TransportRetriesExceeded as exc:

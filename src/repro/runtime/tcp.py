@@ -35,6 +35,17 @@ batch -- so a k-update burst costs O(1) syscalls instead of O(k).
 Encoding happens at write time (not in ``send``), after the codec
 version is known.
 
+The message path creates no asyncio Task, timer or queue future per
+message.  Each session has one writer task and one ack-reader task; the
+writer sleeps on a single :class:`asyncio.Event` that ``send`` sets and
+the ack reader's done-callback sets, so a dead ack stream wakes it too.
+Acks are read without a per-frame timeout and written by the listener
+as preformatted bytes (identical to :func:`write_frame`'s output).
+Dead-peer detection is one self-re-arming ``call_later`` watchdog per
+session: it measures time since the last ack and trips only while
+frames are in flight, so an established session with nothing to
+acknowledge stays connected however long it idles.
+
 Session guarantees
 ------------------
 A *channel* is one direction of the paper's source<->warehouse link; its
@@ -42,12 +53,14 @@ name (e.g. ``"R2->wh"``) identifies it across reconnects.  The sender
 numbers messages 1, 2, 3, ... and keeps everything unacknowledged in a
 bounded window; the receiver tracks the next expected sequence number *per
 channel name* (surviving reconnects), acknowledges each frame cumulatively
-and drops duplicates.  After a connection failure the sender reconnects
-(bounded retries, exponential backoff, connect/read timeouts), says hello,
-learns the receiver's ``expect`` and resends exactly the suffix the
-receiver has not seen.  The result is exactly-once, in-order delivery per
-channel -- the reliable FIFO assumption of Section 2 -- on top of an
-unreliable connection lifecycle.
+and drops duplicates.  After a connection failure -- or when no ack
+arrived for ``read_timeout`` seconds while frames were in flight -- the
+sender reconnects (bounded retries, exponential backoff, connect
+timeout), says hello, learns the receiver's ``expect`` and resends
+exactly the suffix the receiver has not seen.  The result is
+exactly-once, in-order delivery per channel -- the reliable FIFO
+assumption of Section 2 -- on top of an unreliable connection
+lifecycle.
 
 Crash-restart epochs
 --------------------
@@ -107,28 +120,26 @@ async def read_frame(
     always accept both, so compression needs no negotiation of its own.
     The (decompressed) body's first byte picks the deserializer -- binwire
     magic or JSON -- so a reader accepts frames from any codec version.
+    A ``timeout`` costs a Task and a timer per call: only the handshake
+    passes one, never the per-message path.
     """
-
-    async def _read() -> dict:
-        header = await reader.readexactly(_HEADER.size)
-        (length,) = _HEADER.unpack(header)
-        compressed = bool(length & _COMPRESSED_FLAG)
-        length &= ~_COMPRESSED_FLAG
-        if length > _MAX_FRAME:
-            raise WireProtocolError(f"frame of {length} bytes exceeds limit")
-        body = await reader.readexactly(length)
-        try:
-            if compressed:
-                body = zlib.decompress(body)
-            if binwire.is_binary(body):
-                return binwire.loads(body)
-            return json.loads(body)
-        except (json.JSONDecodeError, binwire.BinwireError, zlib.error) as exc:
-            raise WireProtocolError(f"undecodable frame: {exc}") from exc
-
-    if timeout is None:
-        return await _read()
-    return await asyncio.wait_for(_read(), timeout)
+    if timeout is not None:
+        return await asyncio.wait_for(read_frame(reader), timeout)
+    header = await reader.readexactly(_HEADER.size)
+    (length,) = _HEADER.unpack(header)
+    compressed = bool(length & _COMPRESSED_FLAG)
+    length &= ~_COMPRESSED_FLAG
+    if length > _MAX_FRAME:
+        raise WireProtocolError(f"frame of {length} bytes exceeds limit")
+    body = await reader.readexactly(length)
+    try:
+        if compressed:
+            body = zlib.decompress(body)
+        if binwire.is_binary(body):
+            return binwire.loads(body)
+        return json.loads(body)
+    except (json.JSONDecodeError, binwire.BinwireError, zlib.error) as exc:
+        raise WireProtocolError(f"undecodable frame: {exc}") from exc
 
 
 def write_frame(
@@ -158,6 +169,12 @@ def write_frame(
             return raw_len, len(packed)
     writer.write(_HEADER.pack(raw_len) + body)
     return raw_len, raw_len
+
+
+def _ack_frame(seq: int) -> bytes:
+    """The bytes ``write_frame`` emits for ``{"t": "ack", "seq": seq}``."""
+    body = b'{"t":"ack","seq":%d}' % seq
+    return _HEADER.pack(len(body)) + body
 
 
 @dataclass(frozen=True)
@@ -258,6 +275,9 @@ class TcpChannel(RuntimeChannel):
         #: messages written but not yet acknowledged
         self._inflight: deque[tuple[int, Message]] = deque()
         self._wake = asyncio.Event()
+        #: time.monotonic() of the last ack (or of the write that put
+        #: frames in flight); the ack watchdog's reference point.
+        self._acked_at = 0.0
         self._closed = False
         self._session_established = False
         #: row-encoding version agreed with the peer (1 until welcomed).
@@ -382,20 +402,47 @@ class TcpChannel(RuntimeChannel):
 
             # A plain task (not runtime-guarded): a dropped connection here
             # is a *recoverable* event consumed by the writer's retry loop,
-            # not a fatal runtime failure.
+            # not a fatal runtime failure.  Its end wakes the writer.
             ack_task = asyncio.ensure_future(self._read_acks(reader))
+            ack_task.add_done_callback(lambda _task: self._wake.set())
+            loop = asyncio.get_running_loop()
+            timeout = cfg.read_timeout
+            overdue = False
+
+            def watch() -> None:
+                # Ack watchdog: re-arms itself, trips only while frames
+                # are in flight and none was acked for ``read_timeout``.
+                nonlocal overdue, watchdog
+                left = self._acked_at + timeout - time.monotonic()
+                if self._inflight and left <= 0:
+                    overdue = True
+                    writer.transport.abort()
+                else:
+                    watchdog = loop.call_later(
+                        left if self._inflight else timeout, watch
+                    )
+
+            watchdog = loop.call_later(timeout, watch)
             try:
                 while not self._closed:
-                    self._write_pending(writer)
-                    await writer.drain()
+                    self._wake.clear()
                     if ack_task.done():
                         # Surface connection loss noticed by the ack reader.
                         ack_task.result()
                         raise ConnectionResetError("ack stream ended")
-                    self._wake.clear()
-                    if not self._pending:
-                        await self._wait_for_work(ack_task)
+                    if self._pending:
+                        self._write_pending(writer)
+                        await writer.drain()
+                    else:
+                        await self._wake.wait()
+            except (OSError, asyncio.IncompleteReadError) as exc:
+                if overdue:
+                    raise asyncio.TimeoutError(
+                        f"channel {self.name!r}: no ack within {timeout}s"
+                    ) from exc
+                raise
             finally:
+                watchdog.cancel()
                 ack_task.cancel()
                 try:
                     await ack_task
@@ -422,6 +469,9 @@ class TcpChannel(RuntimeChannel):
         compress_min = (
             self.config.compress_min_bytes if version >= 2 else None
         )
+        if not self._inflight:
+            # The ack watchdog measures from the oldest unacked write.
+            self._acked_at = time.monotonic()
         burst: list[tuple[int, Message]] = []
         while self._pending:
             entry = self._pending.popleft()
@@ -455,26 +505,15 @@ class TcpChannel(RuntimeChannel):
                 "encode_ns", time.perf_counter_ns() - started
             )
 
-    async def _wait_for_work(self, ack_task: asyncio.Task) -> None:
-        """Sleep until there is something to send or the connection died."""
-        wake = asyncio.ensure_future(self._wake.wait())
-        done, _ = await asyncio.wait(
-            {wake, ack_task}, return_when=asyncio.FIRST_COMPLETED
-        )
-        if not wake.done():
-            wake.cancel()
-        if ack_task in done:
-            ack_task.result()
-            raise ConnectionResetError("connection closed by peer")
-
     async def _read_acks(self, reader: asyncio.StreamReader) -> None:
         while True:
-            frame = await read_frame(reader, self.config.read_timeout)
+            frame = await read_frame(reader)
             if frame.get("t") != "ack":
                 raise WireProtocolError(
                     f"channel {self.name!r}: unexpected frame {frame!r}"
                 )
             acked = int(frame["seq"])
+            self._acked_at = time.monotonic()
             while self._inflight and self._inflight[0][0] <= acked:
                 self._inflight.popleft()
 
@@ -518,6 +557,9 @@ class ChannelListener:
         self._epochs: dict[str, int] = {}
         self._server: asyncio.AbstractServer | None = None
         self.connections_accepted = 0
+        #: channels whose sender said hello at least once: proof that
+        #: the peer was alive (see :func:`probe_peer_unless_greeted`).
+        self.greeted: set[str] = set()
         #: wall clock (time.monotonic) of the last frame handled; lets a
         #: serving process linger until its peers have gone quiet.
         self.last_frame_wall = 0.0
@@ -557,6 +599,7 @@ class ChannelListener:
             if name not in self._registrations:
                 raise WireProtocolError(f"unknown channel {name!r}")
             self.connections_accepted += 1
+            self.greeted.add(name)
             destination, codec = self._registrations[name]
             epoch = int(hello.get("epoch", 0))
             known = self._epochs.get(name, 0)
@@ -610,7 +653,7 @@ class ChannelListener:
                         destination.put(message)
                         self._expect[name] = expect + 1
                 # One cumulative ack per wire frame, batched or not.
-                write_frame(writer, {"t": "ack", "seq": self._expect[name] - 1})
+                writer.write(_ack_frame(self._expect[name] - 1))
                 await writer.drain()
         except (asyncio.IncompleteReadError, ConnectionError, asyncio.TimeoutError):
             pass  # sender reconnects and resumes the session
@@ -632,11 +675,38 @@ class ChannelListener:
         )
 
 
+async def probe_peer_unless_greeted(
+    listener: ChannelListener,
+    channel: str,
+    host: str,
+    port: int,
+    config: TcpChannelConfig | None = None,
+    what: str = "peer",
+) -> None:
+    """:func:`probe_peer`, except that a peer heard from is reachable.
+
+    A peer that already said hello on ``channel`` to ``listener`` was
+    alive after this process started listening, so it passes even when
+    its own listener is gone by probe time -- a peer that only needed
+    this process's answers may finish and exit while the probe backs
+    off between refused connects.  A peer never heard from still raises
+    :class:`TransportRetriesExceeded`.
+    """
+    if channel in listener.greeted:
+        return
+    try:
+        await probe_peer(host, port, config, what)
+    except TransportRetriesExceeded:
+        if channel not in listener.greeted:
+            raise
+
+
 __all__ = [
     "ChannelListener",
     "TcpChannel",
     "TcpChannelConfig",
     "probe_peer",
+    "probe_peer_unless_greeted",
     "read_frame",
     "write_frame",
 ]

@@ -6,8 +6,8 @@ guarantees reliable FIFO delivery into the destination mailbox -- the one
 communication assumption the paper's correctness argument needs
 (Section 2).  Two implementations ship:
 
-* :class:`LocalChannel` -- an in-process ``asyncio.Queue`` with a single
-  delivery task (FIFO by construction); and
+* :class:`LocalChannel` -- an in-process bounded FIFO drained by one
+  scheduled callback (no Task, no queue future per message); and
 * :class:`repro.runtime.tcp.TcpChannel` -- length-prefixed JSON frames over
   a TCP session with sequence numbers, acknowledgements and reconnect.
 
@@ -20,6 +20,7 @@ traffic is self-limiting; only workload injectors need to pace).
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from typing import TYPE_CHECKING
 
 from repro.runtime.errors import TransportOverflowError
@@ -98,10 +99,13 @@ class RuntimeChannel:
 
 
 class LocalChannel(RuntimeChannel):
-    """In-process transport: one bounded queue, one delivery task.
+    """In-process transport: one bounded FIFO, one delivery callback.
 
-    ``delivery_delay`` (virtual units) optionally models link latency --
-    useful to widen the interference window in demos without a network.
+    ``send`` appends to a deque and, unless one is already pending,
+    schedules a single delivery callback through ``runtime.schedule``.
+    That callback drains the whole deque in order, so a burst sent in
+    one tick costs one callback, and a raising destination is recorded
+    by the runtime like any failed scheduled callback.
     """
 
     def __init__(
@@ -111,56 +115,42 @@ class LocalChannel(RuntimeChannel):
         destination: "Mailbox",
         metrics: MetricsCollector | None = None,
         max_queue: int = 1024,
-        delivery_delay: float = 0.0,
     ):
         super().__init__(runtime, name, metrics, max_queue)
         self.destination = destination
-        self.delivery_delay = delivery_delay
-        self._undelivered = 0
-        self._queue: asyncio.Queue[Message] = asyncio.Queue(maxsize=max_queue)
-        self._task = runtime.create_task(self._deliver_loop(), f"deliver:{name}")
+        self._queue: deque[Message] = deque()
+        self._delivery_pending = False
 
     # ------------------------------------------------------------------
     def send(self, message: Message) -> None:
         self._account(message)
-        try:
-            self._queue.put_nowait(message)
-        except asyncio.QueueFull:
+        if len(self._queue) >= self.max_queue:
             raise TransportOverflowError(
                 f"channel {self.name!r}: bounded send queue full"
                 f" ({self.max_queue} messages); pace the producer with drain()"
-            ) from None
-        self._undelivered += 1
+            )
+        self._queue.append(message)
+        if not self._delivery_pending:
+            self._delivery_pending = True
+            self.runtime.schedule(0.0, self._deliver)
 
     @property
     def idle(self) -> bool:
-        return self._undelivered == 0
+        return not self._queue
 
     @property
     def queued(self) -> int:
-        return self._undelivered
+        return len(self._queue)
 
     # ------------------------------------------------------------------
-    async def _deliver_loop(self) -> None:
-        while True:
-            message = await self._queue.get()
-            if self.delivery_delay > 0:
-                await self.runtime.sleep(self.delivery_delay)
-            message.delivered_at = self.runtime.now
+    def _deliver(self) -> None:
+        self._delivery_pending = False
+        queue = self._queue
+        now = self.runtime.now
+        while queue:
+            message = queue.popleft()
+            message.delivered_at = now
             self.destination.put(message)
-            self._undelivered -= 1
-            # Fast path: drain whatever else arrived this tick in one go
-            # instead of paying a task wakeup per message.  FIFO order is
-            # preserved -- same queue, same task.
-            if self.delivery_delay <= 0:
-                while True:
-                    try:
-                        message = self._queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    message.delivered_at = self.runtime.now
-                    self.destination.put(message)
-                    self._undelivered -= 1
 
 
 __all__ = ["LocalChannel", "RuntimeChannel"]

@@ -25,7 +25,8 @@ from repro.runtime import (
     serve_source_async,
     serve_warehouse_async,
 )
-from repro.runtime.tcp import TcpChannelConfig
+from repro.runtime import tcp
+from repro.runtime.tcp import TcpChannelConfig, read_frame, write_frame
 from repro.warehouse.sharding import ShardMember
 
 #: A retry budget small enough that every test fails in well under a second.
@@ -240,3 +241,76 @@ def test_fleet_tolerates_a_dead_standby():
     # the claimed level, so reaching here already implies oracle success.
     assert result.deliveries_total == config.n_updates
     assert set(result.levels) == set(result.final_views)
+
+
+# ---------------------------------------------------------------------------
+# A peer heard from is alive, even if its listener is gone by probe time
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "serve, peer, channel",
+    [
+        (serve_source_async, "warehouse_address", "wh->R1"),
+        (serve_sharded_source_async, "shard_addresses", "sh0->R1"),
+    ],
+)
+def test_source_probe_passes_for_a_peer_that_already_queried_it(
+    monkeypatch, serve, peer, channel
+):
+    """The peer dials the source's query listener, says hello and exits.
+
+    A peer that needed only this source's answers may finish before the
+    source's probe of it does.  Its hello proves it was alive, so the
+    probe passes although every connect to its address is refused.  The
+    probe is held until the hello so the order is deterministic.
+    """
+    source_port = free_port()
+    dead = _dead_address()
+    peer_address = {0: dead} if peer == "shard_addresses" else dead
+    real_probe = tcp.probe_peer
+
+    async def scenario():
+        hello_sent = asyncio.Event()
+
+        async def probe_after_hello(*args, **kwargs):
+            await hello_sent.wait()
+            await real_probe(*args, **kwargs)
+
+        monkeypatch.setattr(tcp, "probe_peer", probe_after_hello)
+        source = asyncio.ensure_future(
+            serve(
+                _config(n_views=2),
+                index=1,
+                **{peer: peer_address},
+                listen_port=source_port,
+                drive=False,
+                timeout=30.0,
+                tcp_config=TIGHT,
+            )
+        )
+        while True:
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", source_port
+                )
+                break
+            except OSError:
+                await asyncio.sleep(0.005)
+        write_frame(writer, {"t": "hello", "channel": channel, "next": 1})
+        await writer.drain()
+        welcome = await read_frame(reader)
+        writer.close()
+        hello_sent.set()
+        # Far longer than TIGHT's whole retry budget: a failed probe
+        # would have ended the source by now.
+        done, _ = await asyncio.wait({source}, timeout=1.0)
+        source.cancel()
+        try:
+            await source
+        except asyncio.CancelledError:
+            pass
+        return welcome, done
+
+    welcome, done = asyncio.run(scenario())
+    assert welcome["t"] == "welcome"
+    assert not done
